@@ -140,7 +140,7 @@ int main() {
     const double r_simd = rate(kN, k.simd_fn);
     // Accelerator: kernel time == simd time on its stream worker plus
     // launch overhead; staging adds the modeled link cost.
-    auto accel = device::make_device(device::Backend::kAccelSim, model);
+    auto accel = device::make_device(model);
     WallTimer tk;
     accel->launch(k.simd_fn, kN);
     accel->synchronize();

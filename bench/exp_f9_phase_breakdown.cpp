@@ -12,10 +12,10 @@
 
 namespace {
 
-/// Phase seconds for one measured run, read back from the obs registry
-/// (the update column folds in con2prim, which the solver times as its
-/// own "solver.phase.c2p" histogram).
-struct RegistryPhases {
+/// Phase seconds for one measured run, read back from the obs registry's
+/// solver.phase.* timers (the update column folds in con2prim, which the
+/// solver times as its own "solver.phase.c2p" histogram).
+struct Phases {
   double exchange = 0.0;
   double rhs = 0.0;
   double update = 0.0;
@@ -25,9 +25,13 @@ struct RegistryPhases {
   }
 };
 
-RegistryPhases read_registry_phases() {
+template <typename Solver>
+Phases measure_phases(Solver& s, int nsteps) {
+  s.step(s.compute_dt());  // warm-up outside the measurement
+  rshc::obs::Registry::global().reset();
+  for (int i = 0; i < nsteps; ++i) s.step(s.compute_dt());
   const auto snap = rshc::obs::Registry::global().snapshot();
-  RegistryPhases p;
+  Phases p;
   p.exchange = snap.value_or("solver.phase.exchange");
   p.rhs = snap.value_or("solver.phase.rhs");
   p.update = snap.value_or("solver.phase.update") +
@@ -36,34 +40,16 @@ RegistryPhases read_registry_phases() {
   return p;
 }
 
-/// Run the measured loop and report its phase split. With the obs layer
-/// compiled in, the breakdown comes from the metrics registry; otherwise
-/// fall back to the solver's built-in wall timers.
-template <typename Solver>
-auto measure_phases(Solver& s, int nsteps) {
-  s.step(s.compute_dt());  // warm-up outside the measurement
-  s.reset_phase_times();
-#if RSHC_OBS_ENABLED
-  rshc::obs::Registry::global().reset();
-  for (int i = 0; i < nsteps; ++i) s.step(s.compute_dt());
-  RegistryPhases p = read_registry_phases();
-  if (p.total() <= 0.0) {
-    // Runtime-disabled (RSHC_OBS=0): the registry saw nothing — use the
-    // solver's built-in wall timers instead of dividing by zero.
-    const auto& w = s.phase_times();
-    p = {w.exchange, w.rhs, w.update, w.other};
-  }
-  return p;
-#else
-  for (int i = 0; i < nsteps; ++i) s.step(s.compute_dt());
-  return s.phase_times();
-#endif
-}
-
 }  // namespace
 
 int main() {
   using namespace rshc;
+  // The breakdown is read from the metrics registry, its only source.
+  if (!RSHC_OBS_ENABLED || !obs::enabled()) {
+    std::cout << "F9 skipped: the phase breakdown needs the obs registry "
+                 "(built with RSHC_OBS=OFF or run with RSHC_OBS=0)\n";
+    return 0;
+  }
   constexpr long long kN = 96;
   constexpr int kSteps = 10;
 

@@ -1,7 +1,6 @@
 #pragma once
-// Device-resident array of doubles. For host devices the buffer aliases
-// ordinary host memory; for the simulated accelerator it represents a
-// separate arena that host code must reach through explicit upload/download
+// Device-resident array of doubles: a separate arena on the simulated
+// accelerator that host code must reach through explicit upload/download
 // calls (the Device enforces staging discipline).
 
 #include <cstddef>

@@ -41,29 +41,24 @@
 
 namespace rshc::solver {
 
-/// Execution strategy for the per-block hot loops (rhs, RK update,
-/// con2prim, CFL scan). All settings are bitwise identical; they
-/// reorganize data movement only, never arithmetic:
-///  - kPencil         per-pencil gather + per-zone state structs (the
-///                    reference path the other settings are checked
-///                    against)
-///  - kBatchedScalar  slab-wise plane reconstruction, tiled transpose
-///                    gathers, fused span loops; kernels::scalar TUs
-///  - kBatchedSimd    same layout, kernels::simd TUs (-O3, native arch)
-///  - kDevice         the batched cores launched as kernels on the
-///                    simulated accelerator (DeviceExec): per-block state
-///                    is device-resident across steps, only halo slabs
-///                    cross the H2D/D2H boundary, transfers overlap with
-///                    interior compute on a second stream
+/// Where the per-block hot loops (rhs, RK update, con2prim, CFL scan) run.
+/// Both settings execute the same compiled batched cores (rhs_core.hpp)
+/// and are bitwise identical; they differ in data movement only:
+///  - kBatchedSimd  on the calling host thread(s): slab-wise plane
+///                  reconstruction, tiled transpose gathers, fused span
+///                  loops through the kernels::simd TUs
+///  - kDevice       launched as kernels on the simulated accelerator
+///                  (DeviceExec): per-block state is device-resident
+///                  across steps, only halo slabs cross the H2D/D2H
+///                  boundary, transfers overlap with interior compute on
+///                  a second stream
 enum class HostPipeline {
-  kPencil,
-  kBatchedScalar,
   kBatchedSimd,
   kDevice,
 };
 
 [[nodiscard]] std::string_view host_pipeline_name(HostPipeline p);
-/// Parse "pencil", "batched-scalar", "batched-simd", "device".
+/// Parse "batched-simd" or "device"; any other name throws rshc::Error.
 [[nodiscard]] HostPipeline parse_host_pipeline(std::string_view name);
 
 template <typename Physics>
@@ -97,7 +92,7 @@ class FvSolver {
   /// exchange has no sibling blocks to copy from.
   FvSolver(const mesh::Grid& grid, Options opt, mesh::BlockExtents sub);
 
-  ~FvSolver();  // out-of-line: Scratch is incomplete here
+  ~FvSolver();  // out-of-line: Work is incomplete here
 
   /// Set initial data: fn(x, y, z) -> Prim, evaluated at interior cell
   /// centers; conservatives derived, ghosts filled.
@@ -153,24 +148,10 @@ class FvSolver {
   void recover_all_prims();
 
   /// Evaluate the flux-divergence RHS for every block from the current
-  /// primitives (benchmark hook: isolates the rhs phase of the selected
-  /// pipeline without stepping).
+  /// primitives on the host (benchmark hook: isolates the rhs phase
+  /// without stepping). Per-phase wall time lives in the obs registry's
+  /// solver.phase.* timers.
   void compute_rhs_all();
-
-  /// Per-phase wall-time breakdown, accumulated on the *serial* stepping
-  /// path only (experiment F9). Parallel paths skip the timers to avoid
-  /// cross-thread races.
-  struct PhaseTimes {
-    double exchange = 0.0;  ///< halo copies + boundary conditions
-    double rhs = 0.0;       ///< reconstruction + Riemann + flux differencing
-    double update = 0.0;    ///< RK combination + con2prim
-    double other = 0.0;     ///< state save, psi damping, bookkeeping
-    [[nodiscard]] double total() const {
-      return exchange + rhs + update + other;
-    }
-  };
-  [[nodiscard]] const PhaseTimes& phase_times() const { return phases_; }
-  void reset_phase_times() { phases_ = {}; }
 
   /// Replace the default shared-memory ghost fill for block `b` with a
   /// custom routine — the hook the distributed (message-passing) driver
@@ -205,7 +186,7 @@ class FvSolver {
   /// mirror's interior may be stale between sync_from_device calls).
   [[nodiscard]] bool device_resident() const;
   /// Drain the device and copy cons+prim back into the host mirror so
-  /// prim_at / gather_prim_var / total_cons / offload see current data.
+  /// prim_at / gather_prim_var / total_cons / checkpoints see current data.
   /// Residency is kept; no-op when not resident.
   void sync_from_device();
   /// Switch the execution pipeline mid-run. Leaving kDevice syncs the
@@ -213,7 +194,8 @@ class FvSolver {
   void set_pipeline(HostPipeline p);
 
  private:
-  struct Scratch;  // per-block pencil + batched-tile work arrays
+  struct Work;  // per-block host u0 / du / batched-tile arrays
+  Work& work(int b);  // built on the block's first host step
 
   [[nodiscard]] bool overlap_active() const {
     return static_cast<bool>(overlap_begin_) &&
@@ -222,21 +204,15 @@ class FvSolver {
   }
   void exchange_block(int b);
   void compute_rhs(int b);
-  void compute_rhs_pencil(int b);
-  void compute_rhs_batched(int b);
   /// Restricted-box RHS: accumulate only zones in [lo, hi); `zero_du`
   /// clears the whole accumulator first. Bitwise equal per zone to the
   /// full-range call (see core::rhs_batched_range).
   void compute_rhs_range(int b, const std::array<int, 3>& lo,
                          const std::array<int, 3>& hi, bool zero_du);
-  void compute_rhs_pencil_range(int b, const std::array<int, 3>& lo,
-                                const std::array<int, 3>& hi);
   /// Interior-first RHS for the overlapped exchange: interior box while
   /// messages fly, then boundary boxes as overlap_finish_ reports faces.
   void compute_rhs_overlapped(int b);
   void update_block(int b, time::StageCoeffs coeffs, double dt);
-  void update_block_pencil(int b, time::StageCoeffs coeffs, double dt);
-  void update_block_batched(int b, time::StageCoeffs coeffs, double dt);
   void save_state();
   void post_step_all();
   void stage_serial(int stage, double dt);
@@ -248,9 +224,7 @@ class FvSolver {
   int ng_;
   mesh::Decomposition decomp_;
   std::vector<mesh::Block> blocks_;
-  std::vector<mesh::FieldArray> u0_;  // RK reference state
-  std::vector<mesh::FieldArray> du_;  // flux-difference accumulator
-  std::vector<std::unique_ptr<Scratch>> scratch_;
+  std::vector<std::unique_ptr<Work>> work_;  // null until first host step
   std::vector<C2PStats> block_stats_;
   std::function<void(int)> ghost_filler_;
   std::function<void(int)> overlap_begin_;
@@ -261,7 +235,6 @@ class FvSolver {
   double time_ = 0.0;
   double current_dt_ = 0.0;
   long long steps_taken_ = 0;
-  PhaseTimes phases_;
 
   // Lazily constructed on the first kDevice step; owns the per-block
   // device arenas (see device_exec.hpp).

@@ -1,10 +1,10 @@
 #pragma once
 // Shared batched solver cores (DESIGN.md systems #4/#12): the slab-wise
 // rhs, RK update / con2prim, CFL scan, and post-step bodies extracted from
-// FvSolver so the host batched pipelines and the device-offload pipeline
-// execute the *same compiled code*. The functions take raw SoA slab
-// pointers plus a BlockShape instead of mesh types, because the device
-// path runs them against flat arena buffers that are not FieldArrays.
+// FvSolver so the host pipeline and the device-offload pipeline execute
+// the *same compiled code*. The functions take raw SoA slab pointers plus
+// a BlockShape instead of mesh types, because the device path runs them
+// against flat arena buffers that are not FieldArrays.
 //
 // Every template is defined in src/solver/rhs_core.cpp and explicitly
 // instantiated there, compiled under the kernel-TU recipe
@@ -79,14 +79,15 @@ struct BatchScratch {
 };
 
 /// Batched rhs: zero `du`, then accumulate flux differences for every
-/// active axis. `w` / `du` are flat SoA bases laid out per `sh`. `simd`
-/// selects the kernel TU; `block_id` is zone provenance for the checkers.
-/// Identical arithmetic to FvSolver's pencil path — see the comment on the
-/// definition for how the tile staging preserves the expression shapes.
+/// active axis. `w` / `du` are flat SoA bases laid out per `sh`;
+/// `block_id` is zone provenance for the checkers. Identical arithmetic to
+/// the per-pencil reference (tests/support/pencil_reference.hpp) — see
+/// the comment on the definition for how the tile staging preserves the
+/// expression shapes.
 template <typename Physics>
 void rhs_batched(const BlockShape& sh, const typename Physics::Context& ctx,
-                 recon::PencilKernel recon_fn, bool simd, const double* w,
-                 double* du, BatchScratch<Physics>& s, int block_id);
+                 recon::PencilKernel recon_fn, const double* w, double* du,
+                 BatchScratch<Physics>& s, int block_id);
 
 /// Zone-range-restricted batched rhs (the interior/boundary split the
 /// overlapped distributed step uses): accumulate flux differences only for
@@ -101,16 +102,16 @@ void rhs_batched(const BlockShape& sh, const typename Physics::Context& ctx,
 template <typename Physics>
 void rhs_batched_range(const BlockShape& sh,
                        const typename Physics::Context& ctx,
-                       recon::PencilKernel recon_fn, bool simd,
-                       const double* w, double* du, BatchScratch<Physics>& s,
-                       int block_id, const std::array<int, 3>& lo,
+                       recon::PencilKernel recon_fn, const double* w,
+                       double* du, BatchScratch<Physics>& s, int block_id,
+                       const std::array<int, 3>& lo,
                        const std::array<int, 3>& hi, bool zero_du);
 
 /// Batched RK stage: u = (ca*u0 + cb*u) + cdt*du over the interior, then
 /// primitive recovery u -> w through the batched con2prim kernels.
 template <typename Physics>
 void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
-                    bool simd, double ca, double cb, double cdt,
+                    double ca, double cb, double cdt,
                     const double* u0, const double* du, double* u, double* w,
                     C2PStats& stats, int block_id);
 
@@ -119,7 +120,7 @@ void update_batched(const BlockShape& sh, const typename Physics::Context& ctx,
 template <typename Physics>
 [[nodiscard]] double max_wave_speed_batched(const BlockShape& sh,
                                             const typename Physics::Context& ctx,
-                                            bool simd, const double* w,
+                                            const double* w,
                                             std::vector<double>& speed);
 
 /// Slab-pointer variant of Physics::post_step over whole (ghosted) arrays:

@@ -100,7 +100,7 @@ DeviceExec<Physics>::DeviceExec(const mesh::Grid& grid,
                                 recon::PencilKernel recon_fn,
                                 device::AccelModel model)
     : grid_(&grid), blocks_(&blocks), ctx_(ctx), recon_fn_(recon_fn) {
-  dev_ = device::make_device(device::Backend::kAccelSim, model);
+  dev_ = device::make_device(model);
   compute_ = device::kDefaultStream;
   transfer_ = dev_->create_stream();
   arenas_.reserve(blocks.size());
@@ -214,7 +214,7 @@ void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
         a->ghost_len, compute_);
     dev_->launch(
         [this, a, b] {
-          core::rhs_batched<Physics>(a->shape, ctx_, recon_fn_, /*simd=*/true,
+          core::rhs_batched<Physics>(a->shape, ctx_, recon_fn_,
                                      a->prim.device_view().data(),
                                      a->du.device_view().data(), a->scratch,
                                      static_cast<int>(b));
@@ -223,10 +223,9 @@ void DeviceExec<Physics>::stage(double ca, double cb, double cdt,
     dev_->launch(
         [this, a, b, ca, cb, cdt, ps = &stats[b]] {
           core::update_batched<Physics>(
-              a->shape, ctx_, /*simd=*/true, ca, cb, cdt,
-              a->u0.device_view().data(), a->du.device_view().data(),
-              a->cons.device_view().data(), a->prim.device_view().data(), *ps,
-              static_cast<int>(b));
+              a->shape, ctx_, ca, cb, cdt, a->u0.device_view().data(),
+              a->du.device_view().data(), a->cons.device_view().data(),
+              a->prim.device_view().data(), *ps, static_cast<int>(b));
         },
         a->cells, compute_);
   }
@@ -254,8 +253,7 @@ double DeviceExec<Physics>::max_wave_speed() {
     last = dev_->launch(
         [this, a, b] {
           vmax_dev_.device_view()[b] = core::max_wave_speed_batched<Physics>(
-              a->shape, ctx_, /*simd=*/true, a->prim.device_view().data(),
-              a->speed);
+              a->shape, ctx_, a->prim.device_view().data(), a->speed);
         },
         a->cells, compute_);
   }

@@ -241,9 +241,13 @@ void expect_bitwise_resume(serve::PhysicsKind physics,
       << tag << ")";
 }
 
-TEST(ServePreemptResume, BitwiseIdenticalSrhdPencil) {
+// The device cases pin the resident path through a preemption: the
+// eviction checkpoint first syncs the device arenas down to the host
+// mirror, the resumed job restores via recover_all_prims on the host, and
+// its first step re-uploads the state.
+TEST(ServePreemptResume, BitwiseIdenticalSrhdDevice) {
   expect_bitwise_resume(serve::PhysicsKind::kSrhd, "sod",
-                        solver::HostPipeline::kPencil, "srhd_pencil");
+                        solver::HostPipeline::kDevice, "srhd_device");
 }
 
 TEST(ServePreemptResume, BitwiseIdenticalSrhdBatched) {
@@ -251,9 +255,9 @@ TEST(ServePreemptResume, BitwiseIdenticalSrhdBatched) {
                         solver::HostPipeline::kBatchedSimd, "srhd_batched");
 }
 
-TEST(ServePreemptResume, BitwiseIdenticalSrmhdPencil) {
+TEST(ServePreemptResume, BitwiseIdenticalSrmhdDevice) {
   expect_bitwise_resume(serve::PhysicsKind::kSrmhd, "balsara1",
-                        solver::HostPipeline::kPencil, "srmhd_pencil");
+                        solver::HostPipeline::kDevice, "srmhd_device");
 }
 
 TEST(ServePreemptResume, BitwiseIdenticalSrmhdBatched) {

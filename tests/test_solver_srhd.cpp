@@ -300,4 +300,23 @@ TEST(SrhdSolver, RejectsBlocksSmallerThanStencil) {
   EXPECT_THROW(SrhdSolver(g, opt), Error);
 }
 
+// The host pipeline has exactly two settings, and a stale name for a
+// removed one (RSHC_HOST_PIPELINE=pencil from an old script) must fail
+// loudly rather than silently run a different path.
+TEST(HostPipeline, NamesRoundTripAndRemovedNamesAreRejected) {
+  for (const auto p :
+       {solver::HostPipeline::kBatchedSimd, solver::HostPipeline::kDevice}) {
+    EXPECT_EQ(solver::parse_host_pipeline(solver::host_pipeline_name(p)), p);
+  }
+  EXPECT_EQ(solver::host_pipeline_name(solver::HostPipeline::kBatchedSimd),
+            "batched-simd");
+  EXPECT_EQ(solver::host_pipeline_name(solver::HostPipeline::kDevice),
+            "device");
+  for (const char* removed :
+       {"pencil", "batched-scalar", "batched", "", "Device"}) {
+    EXPECT_THROW((void)solver::parse_host_pipeline(removed), Error)
+        << removed;
+  }
+}
+
 }  // namespace

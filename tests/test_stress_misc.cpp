@@ -50,7 +50,7 @@ TEST(Stress, InterleavedTagsAcrossManyRounds) {
 }
 
 TEST(Stress, AccelStreamSurvivesHighChurn) {
-  auto dev = device::make_device(device::Backend::kAccelSim);
+  auto dev = device::make_device();
   device::Buffer buf = dev->alloc(64);
   std::vector<double> host(64, 0.0);
   dev->upload_async(host, buf);

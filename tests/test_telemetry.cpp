@@ -212,6 +212,46 @@ TEST_F(Telemetry, ParallelStepsPublishHeartbeatToo) {
   EXPECT_EQ(obs::telemetry::last_heartbeat().step, 5);
 }
 
+// A restricted (per-rank) solver is built with the global grid but owns
+// only its sub-block: its heartbeat must count the zones it updates, or
+// each of N ranks publishes an N-times-too-high throughput. The rate times
+// the step's wall time recovers the zone-updates the heartbeat counted.
+TEST_F(Telemetry, RestrictedSolverHeartbeatCountsOwnedZones) {
+  const mesh::Grid grid = mesh::Grid::make_2d(64, 64, 0.0, 1.0, 0.0, 1.0);
+  const mesh::BlockExtents half{{0, 0, 0}, {32, 64, 1}};  // rank 0 of 2x1
+  solver::SrhdSolver::Options opt;
+  opt.recon = recon::Method::kPLMMC;
+  opt.bc = mesh::BoundarySpec::all(mesh::BcType::kOutflow);
+  opt.physics.eos = eos::IdealGas(4.0 / 3.0);
+  solver::SrhdSolver s(grid, opt, half);
+  s.set_ghost_filler([&s](int) {
+    for (int axis = 0; axis < 2; ++axis) {
+      for (int side = 0; side < 2; ++side) {
+        mesh::apply_physical_boundary(
+            s.block(0), axis, side, mesh::BcType::kOutflow,
+            solver::SrhdPhysics::reflect_negate_vars(axis));
+      }
+    }
+  });
+  s.initialize(problems::kelvin_helmholtz_ic({}));
+
+  obs::Registry reg;
+  {
+    obs::ScopedRegistry scope(reg);
+    s.step(s.compute_dt());
+  }
+  const obs::Snapshot snap = reg.snapshot();
+  const double step_s = snap.value_or("solver.step");
+  ASSERT_GT(step_s, 0.0);
+  const double counted = snap.value_or("solver.hb.zones_per_sec") * step_s;
+  const double stages = time::num_stages(opt.integrator);
+  const double local = 32.0 * 64.0 * stages;
+  EXPECT_GT(counted, local / 1.5) << "heartbeat undercounts owned zones";
+  EXPECT_LT(counted, local * 1.5)
+      << "heartbeat counts the global grid (" << 64.0 * 64.0 * stages
+      << " zone-updates), not the " << local << " this rank performed";
+}
+
 TEST_F(Telemetry, WatchdogDetectsSeededGraphStall) {
   const auto path = temp_file("stall_journal.jsonl");
   obs::journal::Journal::global().open(path.string());
